@@ -13,7 +13,8 @@ vet:
 # lint runs the vetstore suite (internal/analysis): custom analyzers that
 # mechanically enforce the repo's hand-maintained invariants — wire
 # message table exhaustiveness, sync.Pool buffer safety, transport lock
-# discipline, seeded determinism, and context threading. See the README's
+# discipline, seeded determinism, context threading, and message
+# immutability. See the README's
 # "Static analysis" section.
 lint:
 	$(GO) build -o bin/vetstore ./cmd/vetstore

@@ -1,6 +1,6 @@
 // Command vetstore runs the repo's custom invariant analyzers (see
-// internal/analysis): wireexhaustive, poolsafe, lockdiscipline, seededdet
-// and ctxflow.
+// internal/analysis): wireexhaustive, poolsafe, lockdiscipline, seededdet,
+// ctxflow and msgimmutable.
 //
 // Two modes:
 //

@@ -6,6 +6,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/ctxflow"
 	"repro/internal/analysis/lockdiscipline"
+	"repro/internal/analysis/msgimmutable"
 	"repro/internal/analysis/poolsafe"
 	"repro/internal/analysis/seededdet"
 	"repro/internal/analysis/wireexhaustive"
@@ -18,4 +19,5 @@ var Analyzers = []*analysis.Analyzer{
 	lockdiscipline.Analyzer,
 	seededdet.Analyzer,
 	ctxflow.Analyzer,
+	msgimmutable.Analyzer,
 }

@@ -1,8 +1,8 @@
-// Package wireexhaustive enforces the four hand-maintained tables that a
-// wire message type must appear in: the Clone type switch, the compact
-// encoder's type switch, the compact decoder's tag switch, and gob
-// registration. Adding a concrete Msg without full plumbing fails `make
-// lint` instead of panicking during a soak.
+// Package wireexhaustive enforces the hand-maintained tables that a
+// wire message type must appear in: every type switch over the message
+// interface (the compact encoder's among them), the compact decoder's
+// tag switch, and gob registration. Adding a concrete Msg without full
+// plumbing fails `make lint` instead of panicking during a soak.
 //
 // The analyzer is structural rather than name-bound so its golden testdata
 // exercises the same logic as the real package:
@@ -11,7 +11,7 @@
 //     unexported niladic method (wire.Msg's `isMsg()` shape);
 //   - every package-level concrete type implementing it is a message;
 //   - every type switch over the marker interface must list every message
-//     (Clone and enc.msg are exactly these switches);
+//     (enc.msg is such a switch);
 //   - if the package declares tag constants (`tag<Type>`), every message
 //     needs one, and every message's tag must appear as a switch case
 //     (the compact decode table);
@@ -34,7 +34,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "wireexhaustive",
-	Doc:  "check that every concrete wire.Msg is covered by Clone, the compact encode/decode tables, and gob registration",
+	Doc:  "check that every concrete wire.Msg is covered by every type switch, the compact encode/decode tables, and gob registration",
 	Scoped: func(importPath string) bool {
 		return strings.Contains(importPath, "internal/wire")
 	},

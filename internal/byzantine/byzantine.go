@@ -94,7 +94,7 @@ func (f *SafeHighForger) Handle(from transport.NodeID, req wire.Msg) (wire.Msg, 
 	ack := reply.(wire.ReadAck)
 	forged := ForgeTuple(ack.W.TSVal.TS+f.boost, f.val, f.rdrs, m.Reader, m.TSR+1, f.accuse)
 	ack.W = forged
-	ack.PW = forged.TSVal.Clone()
+	ack.PW = forged.TSVal
 	return ack, true
 }
 
@@ -131,7 +131,7 @@ func (f *SafeEquivocator) Handle(from transport.NodeID, req wire.Msg) (wire.Msg,
 	ack := reply.(wire.ReadAck)
 	forged := ForgeTuple(ack.W.TSVal.TS+f.boost, f.val, f.rdrs, m.Reader, m.TSR+1, nil)
 	ack.W = forged
-	ack.PW = forged.TSVal.Clone()
+	ack.PW = forged.TSVal
 	return ack, true
 }
 

@@ -40,7 +40,7 @@ func (f *RegularHighForger) Handle(from transport.NodeID, req wire.Msg) (wire.Ms
 	ack := reply.(wire.ReadAckHist)
 	ts := ack.History.MaxTS() + f.boost
 	forged := ForgeTuple(ts, f.val, f.rdrs, m.Reader, m.TSR+1, nil)
-	ack.History[ts] = types.HistEntry{PW: forged.TSVal.Clone(), W: &forged}
+	ack.History = withEntry(ack.History, ts, types.HistEntry{PW: forged.TSVal, W: &forged})
 	return ack, true
 }
 
@@ -72,7 +72,7 @@ func (f *RegularEquivocator) Handle(from transport.NodeID, req wire.Msg) (wire.M
 	ack := reply.(wire.ReadAckHist)
 	ts := ack.History.MaxTS() + f.boost
 	forged := ForgeTuple(ts, f.val, f.rdrs, m.Reader, m.TSR+1, nil)
-	ack.History[ts] = types.HistEntry{PW: forged.TSVal.Clone(), W: &forged}
+	ack.History = withEntry(ack.History, ts, types.HistEntry{PW: forged.TSVal, W: &forged})
 	return ack, true
 }
 
@@ -130,8 +130,23 @@ func (f *RegularOmitter) Handle(from transport.NodeID, req wire.Msg) (wire.Msg, 
 	}
 	ack := reply.(wire.ReadAckHist)
 	tss := ack.History.Timestamps()
-	for i := 0; i < f.omit && len(tss)-1-i > 0; i++ {
-		delete(ack.History, tss[len(tss)-1-i])
+	keep := min(len(tss), max(len(tss)-f.omit, 1)) // always show the oldest entry
+	h := make(types.History, keep)
+	for _, ts := range tss[:keep] {
+		h[ts] = ack.History[ts]
 	}
+	ack.History = h
 	return ack, true
+}
+
+// withEntry returns a fresh history holding h's entries plus e at ts.
+// h is part of a message the honest inner object built, and messages
+// are immutable once sent: a forger builds its lie next to it.
+func withEntry(h types.History, ts types.TS, e types.HistEntry) types.History {
+	out := make(types.History, len(h)+1)
+	for k, v := range h {
+		out[k] = v
+	}
+	out[ts] = e
+	return out
 }

@@ -30,7 +30,7 @@ type RegularReader struct {
 	tsr       types.ReaderTS
 	optimized bool
 	fastPath  bool
-	cache     types.TSVal // last returned pair (⟨0,⊥⟩ initially)
+	cache     types.TSVal // last returned pair (⟨0,⊥⟩ initially), shared with the ack it came from
 	stats     OpStats
 	trace     Tracer
 }
@@ -107,14 +107,14 @@ func (r *RegularReader) Read(ctx context.Context) (types.TSVal, error) {
 			traceExt(r.trace, OpRead, EvFastRead, "")
 			st.FastPath = true
 			if ret.TS > r.cache.TS {
-				r.cache = ret.Clone()
+				r.cache = ret
 			} else if r.optimized {
-				ret = r.cache.Clone()
+				ret = r.cache
 			}
 			st.Duration = time.Since(start)
 			r.stats = st
 			r.trace.Decided(OpRead, ret.TS)
-			return ret, nil
+			return ret.Clone(), nil
 		}
 	}
 
@@ -141,15 +141,15 @@ func (r *RegularReader) Read(ctx context.Context) (types.TSVal, error) {
 	for {
 		if ret, done := state.decide(r.optimized); done {
 			if ret.TS > r.cache.TS {
-				r.cache = ret.Clone()
+				r.cache = ret
 			} else if r.optimized {
 				// An empty candidate set under §5.1 returns the cache.
-				ret = r.cache.Clone()
+				ret = r.cache
 			}
 			st.Duration = time.Since(start)
 			r.stats = st
 			r.trace.Decided(OpRead, ret.TS)
-			return ret, nil
+			return ret.Clone(), nil
 		}
 		msg, err := r.conn.Recv(ctx)
 		if err != nil {
@@ -270,13 +270,13 @@ func (s *regularReadState) absorb(msg transport.Message) bool {
 	}
 	s.lastTSR[ack.ObjectID] = ack.TSR
 
-	h := ack.History.Clone()
+	h := ack.History
 	s.hist[ack.Round][ack.ObjectID] = h
 	if ack.Round == wire.Round1 {
 		s.respFirst.add(ack.ObjectID)
 		for _, e := range h {
 			if e.W != nil {
-				s.candidates[e.W.Key()] = e.W.Clone()
+				s.candidates[e.W.Key()] = *e.W
 			}
 		}
 		if s.fast {
@@ -335,7 +335,7 @@ func (s *regularReadState) fastDecide() (types.TSVal, bool) {
 			}
 		}
 	}
-	return top.W.TSVal.Clone(), true
+	return top.W.TSVal, true
 }
 
 // repairHint picks the tuple the slow-path round 2 piggybacks: the
@@ -369,7 +369,7 @@ func (s *regularReadState) repairHint() (types.WTuple, bool) {
 	if !found {
 		return types.WTuple{}, false
 	}
-	return best.Clone(), true
+	return best, true
 }
 
 // entryMismatch reports whether history h contradicts candidate c at
@@ -496,7 +496,7 @@ func (s *regularReadState) decide(optimized bool) (types.TSVal, bool) {
 			continue
 		}
 		if s.safe(c) {
-			return c.TSVal.Clone(), true
+			return c.TSVal, true
 		}
 	}
 	return types.TSVal{}, false

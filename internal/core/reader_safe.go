@@ -99,7 +99,7 @@ func (r *SafeReader) Read(ctx context.Context) (types.TSVal, error) {
 			st.Duration = time.Since(start)
 			r.stats = st
 			r.trace.Decided(OpRead, ret.TS)
-			return ret, nil
+			return ret.Clone(), nil
 		}
 	}
 
@@ -129,7 +129,7 @@ func (r *SafeReader) Read(ctx context.Context) (types.TSVal, error) {
 			st.Duration = time.Since(start)
 			r.stats = st
 			r.trace.Decided(OpRead, ret.TS)
-			return ret, nil
+			return ret.Clone(), nil
 		}
 		msg, err := r.conn.Recv(ctx)
 		if err != nil {
@@ -261,11 +261,9 @@ func (s *safeReadState) absorb(msg transport.Message) bool {
 	}
 	s.seen[k] = true
 
-	w := ack.W.Clone()
-	pw := ack.PW.Clone()
-	wk, pk := w.Key(), tsvalKey(pw)
-	s.tuples[wk] = w
-	s.pairs[pk] = pw
+	wk, pk := ack.W.Key(), tsvalKey(ack.PW)
+	s.tuples[wk] = ack.W
+	s.pairs[pk] = ack.PW
 
 	s.rw.at(wk).add(ack.ObjectID)
 	s.rpw.at(pk).add(ack.ObjectID)
@@ -336,7 +334,7 @@ func (s *safeReadState) fastDecide() (types.TSVal, bool) {
 			return types.TSVal{}, false // forged matrix conflicts with us
 		}
 	}
-	return c.TSVal.Clone(), true
+	return c.TSVal, true
 }
 
 // repairHint picks the tuple the slow-path round 2 piggybacks: the
@@ -366,7 +364,7 @@ func (s *safeReadState) repairHint() (types.WTuple, bool) {
 	if !found {
 		return types.WTuple{}, false
 	}
-	return best.Clone(), true
+	return best, true
 }
 
 // respondedWO counts the objects that reported some tuple other than c
@@ -475,7 +473,7 @@ func (s *safeReadState) decide() (types.TSVal, bool) {
 			continue
 		}
 		if len(s.safeWitnesses(k)) >= s.cfg.SafeThreshold() {
-			return c.TSVal.Clone(), true
+			return c.TSVal, true
 		}
 	}
 	return types.TSVal{}, false

@@ -24,6 +24,10 @@ import (
 // side decides whether to keep only the latest state (Fig. 3) or the
 // history (Fig. 5).
 //
+// Write copies the caller's value once; from there on the pair, the
+// collected tsr vectors and the tuple are shared with the messages that
+// carry them, which are immutable once sent (see package wire).
+//
 // Writer is not safe for concurrent use; the model's single writer
 // invokes one operation at a time.
 type Writer struct {
@@ -163,7 +167,7 @@ func (w *Writer) Write(ctx context.Context, v types.Value) error {
 		}
 		st.Acks++
 		w.trace.AckAccepted(OpWrite, 1, ack.ObjectID)
-		current[ack.ObjectID] = ack.TSR.Clone()
+		current[ack.ObjectID] = ack.TSR
 	}
 	// A completed PW round also certifies any write-back left pending
 	// by an earlier pipelined phase: the PW message carried that tuple
@@ -172,7 +176,7 @@ func (w *Writer) Write(ctx context.Context, v types.Value) error {
 
 	// Round W: w := ⟨pw, currenttsrarray⟩; send W⟨ts, pw, w⟩ to all.
 	w.trace.RoundStart(OpWrite, 2)
-	tuple := types.WTuple{TSVal: pw.Clone(), TSR: current}
+	tuple := types.WTuple{TSVal: pw, TSR: current}
 	wreq := wire.WReq{TS: w.ts, PW: pw, W: tuple}
 	for _, id := range w.params.objectIDs() {
 		w.conn.Send(transport.Object(id), wreq)
@@ -202,7 +206,7 @@ func (w *Writer) Write(ctx context.Context, v types.Value) error {
 	}
 
 	w.trace.Decided(OpWrite, w.ts)
-	w.last = tuple.Clone()
+	w.last = tuple
 	st.Duration = time.Since(start)
 	w.stats = st
 	return nil
@@ -273,7 +277,7 @@ func (w *Writer) writePipelined(ctx context.Context, v types.Value) error {
 			}
 			st.Acks++
 			w.trace.AckAccepted(OpWrite, 1, ack.ObjectID)
-			current[ack.ObjectID] = ack.TSR.Clone()
+			current[ack.ObjectID] = ack.TSR
 		case wire.WAck:
 			if w.pending == 0 || ack.TS != w.pending || types.ObjectID(msg.From.Index) != ack.ObjectID {
 				continue
@@ -290,7 +294,7 @@ func (w *Writer) writePipelined(ctx context.Context, v types.Value) error {
 	// Round W: broadcast ⟨pw, currenttsrarray⟩ but do not await the
 	// acks — the next Write's PW round (or Flush) collects them.
 	w.trace.RoundStart(OpWrite, 2)
-	tuple := types.WTuple{TSVal: pw.Clone(), TSR: current}
+	tuple := types.WTuple{TSVal: pw, TSR: current}
 	wreq := wire.WReq{TS: w.ts, PW: pw, W: tuple}
 	for _, id := range w.params.objectIDs() {
 		w.conn.Send(transport.Object(id), wreq)
@@ -299,7 +303,7 @@ func (w *Writer) writePipelined(ctx context.Context, v types.Value) error {
 	w.pending = w.ts
 
 	w.trace.Decided(OpWrite, w.ts)
-	w.last = tuple.Clone()
+	w.last = tuple
 	st.Duration = time.Since(start)
 	w.stats = st
 	return nil

@@ -1,6 +1,7 @@
 package object
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/transport"
@@ -84,14 +85,25 @@ func TestSafeReadStoresReaderTimestamp(t *testing.T) {
 	}
 }
 
-func TestSafeReadReturnsClones(t *testing.T) {
+// TestSafeAcksShareTuplesCopyTSR pins the object side of the message
+// contract: installed tuples are the request's own (no copy on install,
+// none on the read ack), while the PW ack's tsr vector is a copy,
+// because reads keep writing tsr in place after the ack has left.
+func TestSafeAcksShareTuplesCopyTSR(t *testing.T) {
 	o := NewSafe(0, 1)
-	o.Handle(anyNode, pw(1, "abc", types.InitWTuple()))
-	reply, _ := o.Handle(anyNode, wire.ReadReq{Round: wire.Round1, Reader: 0, TSR: 1})
+	req := pw(1, "abc", types.WTuple{TSVal: types.TSVal{TS: 0}, TSR: types.TSRMatrix{0: {0}}})
+	reply, _ := o.Handle(anyNode, req)
+	pwAck := reply.(wire.PWAck)
+	reply, _ = o.Handle(anyNode, wire.ReadReq{Round: wire.Round1, Reader: 0, TSR: 5})
 	ack := reply.(wire.ReadAck)
-	ack.PW.Val[0] = 'z'
-	if snap := o.Snapshot(); snap.PW.Val[0] != 'a' {
-		t.Error("read ack must not alias object state")
+	if &ack.PW.Val[0] != &req.PW.Val[0] {
+		t.Error("read ack must carry the installed pw as it is, not a copy")
+	}
+	if reflect.ValueOf(ack.W.TSR).Pointer() != reflect.ValueOf(req.W.TSR).Pointer() {
+		t.Error("read ack must carry the installed w as it is, not a copy")
+	}
+	if pwAck.TSR[0] != 0 {
+		t.Errorf("PW ack tsr changed to %v by a later read: it must be a copy", pwAck.TSR)
 	}
 }
 

@@ -14,6 +14,12 @@ import (
 // above the reader's cached timestamp, and — when garbage collection is
 // enabled — entries below every reader's acknowledged cache timestamp
 // are pruned.
+//
+// History entries are built from request tuples without copying and
+// shipped in read acks as they are: messages are immutable once sent
+// (see package wire), and an entry is only ever replaced whole, never
+// edited. The history map itself is edited in place, so every ack gets
+// a fresh map (History.Suffix) that shares the entries.
 type Regular struct {
 	id types.ObjectID
 
@@ -65,9 +71,9 @@ func (s *Regular) Handle(_ transport.NodeID, req wire.Msg) (wire.Msg, bool) {
 		// w′ is the complete tuple of the previous write, so it fills
 		// the ts′−1 slot even at objects the previous W round skipped.
 		if m.TS > s.ts {
-			s.history[m.TS] = types.HistEntry{PW: m.PW.Clone()}
-			w := m.W.Clone()
-			s.history[m.TS-1] = types.HistEntry{PW: w.TSVal.Clone(), W: &w}
+			s.history[m.TS] = types.HistEntry{PW: m.PW}
+			w := m.W
+			s.history[m.TS-1] = types.HistEntry{PW: w.TSVal, W: &w}
 			s.ts = m.TS
 			return wire.PWAck{ObjectID: s.id, TS: s.ts, TSR: s.tsr.Clone()}, true
 		}
@@ -76,8 +82,8 @@ func (s *Regular) Handle(_ transport.NodeID, req wire.Msg) (wire.Msg, bool) {
 		// upon W⟨ts′,pw′,w′⟩: if ts′ ≥ ts then history[ts′] := ⟨pw′,w′⟩.
 		if m.TS >= s.ts {
 			s.ts = m.TS
-			w := m.W.Clone()
-			s.history[m.TS] = types.HistEntry{PW: m.PW.Clone(), W: &w}
+			w := m.W
+			s.history[m.TS] = types.HistEntry{PW: m.PW, W: &w}
 			return wire.WAck{ObjectID: s.id, TS: s.ts}, true
 		}
 		return nil, false
@@ -97,8 +103,7 @@ func (s *Regular) Handle(_ transport.NodeID, req wire.Msg) (wire.Msg, bool) {
 		// laundered through this path.
 		if rep := m.Repair; rep != nil && rep.TSVal.TS >= s.ts {
 			s.ts = rep.TSVal.TS
-			w := rep.Clone()
-			s.history[w.TSVal.TS] = types.HistEntry{PW: w.TSVal.Clone(), W: &w}
+			s.history[rep.TSVal.TS] = types.HistEntry{PW: rep.TSVal, W: rep}
 		}
 		if m.TSR > s.tsr[j] {
 			s.tsr[j] = m.TSR
@@ -152,7 +157,7 @@ func (s *Regular) HistoryLen() int {
 // storage-exhaustion metric of experiment E8.
 func (s *Regular) HistoryBytes() int {
 	s.mu.Lock()
-	h := s.history.Clone()
+	h := s.history.Suffix(0)
 	s.mu.Unlock()
 	return wire.EncodedSize(wire.ReadAckHist{ObjectID: s.id, History: h})
 }

@@ -22,6 +22,11 @@ import (
 // Safe is the base object of the safe storage protocol (Fig. 3). Its
 // state is the write timestamp ts, the pre-write pair pw, the complete
 // tuple w, and the per-reader control timestamps tsr[1..R].
+//
+// pw and w are installed from requests and shipped in read acks by
+// reference: messages are immutable once sent (see package wire), and
+// the object only ever replaces these fields whole. tsr is the one
+// field written in place, so PW acks carry a copy of it.
 type Safe struct {
 	id types.ObjectID
 
@@ -57,8 +62,9 @@ func (s *Safe) Handle(_ transport.NodeID, req wire.Msg) (wire.Msg, bool) {
 		// upon PW⟨ts′,pw′,w′⟩: if ts′ > ts then adopt and ack with tsr.
 		if m.TS > s.ts {
 			s.ts = m.TS
-			s.pw = m.PW.Clone()
-			s.w = m.W.Clone()
+			s.pw = m.PW
+			s.w = m.W
+			// tsr is written in place by reads, so the ack carries a copy.
 			return wire.PWAck{ObjectID: s.id, TS: s.ts, TSR: s.tsr.Clone()}, true
 		}
 		return nil, false
@@ -66,8 +72,8 @@ func (s *Safe) Handle(_ transport.NodeID, req wire.Msg) (wire.Msg, bool) {
 		// upon W⟨ts′,pw′,w′⟩: if ts′ ≥ ts then adopt and ack.
 		if m.TS >= s.ts {
 			s.ts = m.TS
-			s.pw = m.PW.Clone()
-			s.w = m.W.Clone()
+			s.pw = m.PW
+			s.w = m.W
 			return wire.WAck{ObjectID: s.id, TS: s.ts}, true
 		}
 		return nil, false
@@ -88,8 +94,8 @@ func (s *Safe) Handle(_ transport.NodeID, req wire.Msg) (wire.Msg, bool) {
 		// duplicate.
 		if rep := m.Repair; rep != nil && rep.TSVal.TS >= s.ts {
 			s.ts = rep.TSVal.TS
-			s.pw = rep.TSVal.Clone()
-			s.w = rep.Clone()
+			s.pw = rep.TSVal
+			s.w = *rep
 		}
 		if m.TSR > s.tsr[j] {
 			s.tsr[j] = m.TSR
@@ -97,8 +103,8 @@ func (s *Safe) Handle(_ transport.NodeID, req wire.Msg) (wire.Msg, bool) {
 				ObjectID: s.id,
 				Round:    m.Round,
 				TSR:      s.tsr[j],
-				PW:       s.pw.Clone(),
-				W:        s.w.Clone(),
+				PW:       s.pw,
+				W:        s.w,
 			}, true
 		}
 		return nil, false

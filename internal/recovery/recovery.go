@@ -372,7 +372,7 @@ func Validated(resps []wire.StateResp, vouchers int) []wire.RegState {
 					}
 				}
 				if !matched {
-					votes = append(votes, rowVote{entry: entry.Clone(), count: 1})
+					votes = append(votes, rowVote{entry: entry, count: 1})
 				}
 				rv.rows[ts] = votes
 			}

@@ -48,8 +48,8 @@ func TestValidatedRejectsLyingDonor(t *testing.T) {
 	const readers = 2
 	honest := honestState("x", 3, readers)
 	resps := []wire.StateResp{
-		{ObjectID: 1, Regs: []wire.RegState{honest.Clone()}},
-		{ObjectID: 2, Regs: []wire.RegState{honest.Clone()}},
+		{ObjectID: 1, Regs: []wire.RegState{honest}},
+		{ObjectID: 2, Regs: []wire.RegState{honest}},
 		{ObjectID: 3, Regs: []wire.RegState{forgedState("x", readers), forgedState("phantom", readers)}},
 	}
 
@@ -96,10 +96,10 @@ func TestValidatedOneVotePerDonorPerRegister(t *testing.T) {
 	honest := honestState("x", 3, readers)
 	forged := forgedState("x", readers)
 	resps := []wire.StateResp{
-		{ObjectID: 1, Regs: []wire.RegState{honest.Clone()}},
-		{ObjectID: 2, Regs: []wire.RegState{honest.Clone()}},
+		{ObjectID: 1, Regs: []wire.RegState{honest}},
+		{ObjectID: 2, Regs: []wire.RegState{honest}},
 		// The liar presents its forgery twice in the SAME response.
-		{ObjectID: 3, Regs: []wire.RegState{forged.Clone(), forged.Clone()}},
+		{ObjectID: 3, Regs: []wire.RegState{forged, forged}},
 	}
 	merged := recovery.Validated(resps, 2)
 	if len(merged) != 1 || merged[0].TS != honest.TS {
@@ -123,9 +123,9 @@ func TestValidatedKeepsFreshCompletedWrite(t *testing.T) {
 	fresh := honestState("y", 5, 1)
 	stale := honestState("y", 4, 1)
 	resps := []wire.StateResp{
-		{ObjectID: 1, Regs: []wire.RegState{fresh.Clone()}},
-		{ObjectID: 2, Regs: []wire.RegState{fresh.Clone()}},
-		{ObjectID: 3, Regs: []wire.RegState{stale.Clone()}},
+		{ObjectID: 1, Regs: []wire.RegState{fresh}},
+		{ObjectID: 2, Regs: []wire.RegState{fresh}},
+		{ObjectID: 3, Regs: []wire.RegState{stale}},
 	}
 	merged := recovery.Validated(resps, 2)
 	if len(merged) != 1 || merged[0].TS != 5 {

@@ -739,6 +739,11 @@ type registry struct {
 
 	servedWrites obs.Counter
 	servedReads  obs.Counter
+
+	// live gates Handle against close: close waits out the calls in
+	// progress, and the object serves and records nothing after it.
+	live   sync.RWMutex
+	closed bool
 }
 
 var _ transport.Handler = (*registry)(nil)
@@ -765,6 +770,11 @@ func (g *registry) Handle(from transport.NodeID, req wire.Msg) (wire.Msg, bool) 
 	if !ok {
 		return nil, false
 	}
+	g.live.RLock()
+	defer g.live.RUnlock()
+	if g.closed {
+		return nil, false
+	}
 	g.mu.Lock()
 	h := g.regs[op.Reg]
 	if h == nil {
@@ -778,6 +788,14 @@ func (g *registry) Handle(from transport.NodeID, req wire.Msg) (wire.Msg, bool) 
 		return nil, false
 	}
 	return wire.RegOp{Reg: op.Reg, Op: op.Op, Msg: reply}, true
+}
+
+// close stops the object for good once the requests it is handling
+// have finished, so a closed store's telemetry no longer changes.
+func (g *registry) close() {
+	g.live.Lock()
+	defer g.live.Unlock()
+	g.closed = true
 }
 
 // traceServe counts one served protocol op and, when the envelope is

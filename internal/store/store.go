@@ -976,7 +976,8 @@ func (sh *shard) readerFor(slot *readerSlot, key string, sem Semantics) (readerC
 	return r, nil
 }
 
-// Close tears every shard down.
+// Close tears every shard down. Once it returns no base object serves
+// or records anything more, so the store's telemetry stays as it is.
 func (s *Store) Close() error {
 	var errs []error
 	for _, sh := range s.shards {
@@ -994,6 +995,9 @@ func (s *Store) Close() error {
 			slot.mux.close()
 		}
 		errs = append(errs, sh.net.Close())
+		for _, obj := range sh.objs {
+			obj.close()
+		}
 	}
 	return errors.Join(errs...)
 }

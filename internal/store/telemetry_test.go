@@ -64,6 +64,12 @@ func TestTelemetryMetricsAndTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// An op returns on S−t replies; the t stragglers serve it, and
+	// record their serve events, afterwards. Close the store so every
+	// view below sees the same settled trace.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	snap := s.Telemetry()
 	var wrTotal, rdTotal int64

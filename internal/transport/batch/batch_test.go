@@ -224,11 +224,18 @@ func TestFlushShipsPendingImmediately(t *testing.T) {
 
 func TestTimestampedProtocolValuesSurviveBatching(t *testing.T) {
 	// End-to-end shape check: a PW round op batched alongside reads keeps
-	// its payload intact through clone + batch + unpack.
+	// its payload intact through batch + encode + decode + unpack.
 	w := types.WTuple{TSVal: types.TSVal{TS: 3, Val: types.Value("v3")}, TSR: types.NewTSRMatrix()}
 	orig := wire.PWReq{TS: 3, PW: w.TSVal, W: w}
-	b := wire.Clone(wire.Batch{Ops: []wire.Msg{orig, wire.ReadReq{Round: wire.Round1, Reader: 0, TSR: 1}}}).(wire.Batch)
-	got := b.Ops[0].(wire.PWReq)
+	frame, err := wire.EncodeCompact(wire.Batch{Ops: []wire.Msg{orig, wire.ReadReq{Round: wire.Round1, Reader: 0, TSR: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := wire.DecodeCompact(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := m.(wire.Batch).Ops[0].(wire.PWReq)
 	if got.TS != orig.TS || !got.PW.Equal(orig.PW) || !got.W.Equal(orig.W) {
 		t.Fatalf("batched op mangled: %+v", got)
 	}

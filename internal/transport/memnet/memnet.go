@@ -10,6 +10,13 @@
 // delay function adds latency, and Crash silences a base object
 // mid-run. Byzantine behaviour needs no network support: a malicious
 // base object is simply an arbitrary Handler.
+//
+// Delivery does not copy. Every receiver of a broadcast, client inbox
+// or object queue alike, gets the sender's value itself, so the S
+// objects of a shard share one copy of each request tuple. This is
+// sound because messages are immutable once sent (see package wire):
+// no handler, honest or Byzantine, may write through a payload, and the
+// msgimmutable analyzer run by `make lint` rejects code that does.
 package memnet
 
 import (
@@ -442,26 +449,25 @@ func (n *Net) route(from, to transport.NodeID, payload wire.Msg) {
 	}
 	if c := n.conns[to]; c != nil {
 		n.mu.Unlock()
-		c.push(transport.Message{From: from, Payload: wire.Clone(payload)})
+		c.push(transport.Message{From: from, Payload: payload})
 		return
 	}
 	srv := n.objects[to]
 	tr, shard := n.trace, n.trShard
 	n.mu.Unlock()
 	if srv != nil {
-		clone := wire.Clone(payload)
-		if !srv.enqueue(from, clone) {
+		if !srv.enqueue(from, payload) {
 			// The object's bounded request queue is full: overload becomes
 			// an explicit signal — the rejected request travels back as a
 			// Busy echo instead of growing the queue without bound. The
 			// pushback pays the normal send-path dice (taps, delays).
 			if tr != nil {
 				detail := fmt.Sprintf("queue=%d", srv.depth())
-				for _, op := range wire.OpIDs(clone, nil) {
+				for _, op := range wire.OpIDs(payload, nil) {
 					tr.Record(obs.Event{Op: op, Kind: obs.EvBusyEmit, Shard: shard, Member: to.Index, Detail: detail})
 				}
 			}
-			n.send(to, from, wire.Busy{Msg: clone})
+			n.send(to, from, wire.Busy{Msg: payload})
 		}
 	}
 }

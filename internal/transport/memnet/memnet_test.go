@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/byzantine"
+	"repro/internal/object"
 	"repro/internal/transport"
 	"repro/internal/transport/memnet"
 	"repro/internal/types"
@@ -199,28 +201,72 @@ func TestRecvAfterClose(t *testing.T) {
 	conn.Send(transport.Object(0), wire.BaselineReadReq{})
 }
 
-func TestPayloadIsolation(t *testing.T) {
-	// A mutable payload sent through the network must not alias the
-	// receiver's copy — Byzantine handlers must not corrupt honest state.
+// TestSharedPayloadSurvivesByzantineReceiver: delivery does not copy,
+// so one PWReq broadcast to S objects is the same value in all S
+// handlers, one of them a Byzantine forger, and the history entries
+// built from it are shared again by every read ack. Under the message
+// contract nobody writes through any of it: concurrent readers see the
+// honest entry intact everywhere, the forger's lie stays in its own
+// replies, and the sender's request is unchanged. Run it with -race to
+// catch a handler writing through the shared value.
+func TestSharedPayloadSurvivesByzantineReceiver(t *testing.T) {
+	const S, R = 4, 3
+	const forger = S - 1
 	net := memnet.New()
 	defer net.Close()
-	got := make(chan wire.BaselineWriteReq, 1)
-	net.Serve(transport.Object(0), transport.HandlerFunc(func(_ transport.NodeID, m wire.Msg) (wire.Msg, bool) {
-		req := m.(wire.BaselineWriteReq)
-		got <- req
-		return nil, false
-	}))
-	conn, _ := net.Register(transport.Writer())
-	val := types.Value("mutable")
-	conn.Send(transport.Object(0), wire.BaselineWriteReq{TS: 1, Val: val})
-	val[0] = 'X' // sender mutates after sending
-	select {
-	case req := <-got:
-		if req.Val[0] == 'X' {
-			t.Error("payload aliased across the network boundary")
+	for i := 0; i < forger; i++ {
+		net.Serve(transport.Object(types.ObjectID(i)), object.NewRegular(types.ObjectID(i), R))
+	}
+	net.Serve(transport.Object(forger), byzantine.NewRegularHighForger(forger, R, 100, types.Value("forged")))
+
+	w, _ := net.Register(transport.Writer())
+	prev := types.WTuple{TSVal: types.TSVal{TS: 0}, TSR: types.TSRMatrix{0: {0, 0, 0}}}
+	req := wire.PWReq{TS: 1, PW: types.TSVal{TS: 1, Val: types.Value("v1")}, W: prev}
+	for i := 0; i < S; i++ {
+		w.Send(transport.Object(types.ObjectID(i)), req)
+	}
+	for i := 0; i < S; i++ {
+		if _, err := w.Recv(ctx(t)); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("handler never invoked")
+	}
+
+	var wg sync.WaitGroup
+	for j := 0; j < R; j++ {
+		conn, err := net.Register(transport.Reader(types.ReaderID(j)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(j int, conn transport.Conn) {
+			defer wg.Done()
+			for i := 0; i < S; i++ {
+				conn.Send(transport.Object(types.ObjectID(i)), wire.ReadReq{Round: wire.Round1, Reader: types.ReaderID(j), TSR: 1})
+			}
+			for n := 0; n < S; n++ {
+				msg, err := conn.Recv(ctx(t))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ack := msg.Payload.(wire.ReadAckHist)
+				if e := ack.History[1]; !e.PW.Equal(req.PW) {
+					t.Errorf("reader %d: object %d shipped pw %v at ts 1, want %v", j, ack.ObjectID, e.PW, req.PW)
+				}
+				if e := ack.History[0]; e.W == nil || !e.W.Equal(prev) {
+					t.Errorf("reader %d: object %d shipped w %v at ts 0, want %v", j, ack.ObjectID, e.W, prev)
+				}
+				forged := ack.History.MaxTS() > 1
+				if forged != (ack.ObjectID == forger) {
+					t.Errorf("reader %d: object %d forged=%v", j, ack.ObjectID, forged)
+				}
+			}
+		}(j, conn)
+	}
+	wg.Wait()
+
+	if !req.PW.Val.Equal(types.Value("v1")) || !req.W.TSR.Equal(types.TSRMatrix{0: {0, 0, 0}}) || len(req.W.TSR) != 1 {
+		t.Errorf("sender's request changed in transit: %+v", req)
 	}
 }
 

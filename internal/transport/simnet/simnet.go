@@ -10,7 +10,9 @@
 // Messages never expire: an undelivered message simply stays "in
 // transit", exactly the asynchrony the paper's proofs exploit. Links
 // can be blocked (messages accumulate as undeliverable), and nodes can
-// be crashed (their messages are discarded).
+// be crashed (their messages are discarded). Payloads are delivered as
+// sent, without copying: messages are immutable once sent (see package
+// wire).
 package simnet
 
 import (
@@ -277,7 +279,7 @@ func (n *Net) Step() bool {
 		// Objects are passive: invoke the handler inline (no client is
 		// runnable here, so the handler runs exclusively).
 		n.mu.Unlock()
-		reply, ok := h.Handle(p.From, wire.Clone(p.Payload))
+		reply, ok := h.Handle(p.From, p.Payload)
 		n.mu.Lock()
 		if ok && !n.closed {
 			n.enqueueLocked(p.To, p.From, reply)
@@ -285,7 +287,7 @@ func (n *Net) Step() bool {
 		return true
 	}
 	if c := n.conns[p.To]; c != nil {
-		c.queue = append(c.queue, transport.Message{From: p.From, Payload: wire.Clone(p.Payload)})
+		c.queue = append(c.queue, transport.Message{From: p.From, Payload: p.Payload})
 		n.cond.Broadcast()
 		n.waitQuiescentLocked()
 		return true
@@ -381,7 +383,7 @@ func (c *conn) Send(to transport.NodeID, payload wire.Msg) {
 	if c.net.closed || c.closed {
 		return
 	}
-	c.net.enqueueLocked(c.id, to, wire.Clone(payload))
+	c.net.enqueueLocked(c.id, to, payload)
 }
 
 // Recv blocks until the simulator delivers a message to this client.

@@ -4,11 +4,19 @@
 // timestamp vectors and matrices, and the candidate tuples exchanged
 // between clients and base objects.
 //
-// All composite types have value semantics at package boundaries: Clone
-// performs a deep copy, and Equal / Key compare by value. Byzantine
-// object implementations receive and return these types, so honest code
-// must never alias a slice or map obtained from an untrusted party;
-// cloning at the boundary is the rule throughout this repository.
+// Equal and Key compare by value; Clone performs a deep copy. Values of
+// these types travel inside wire messages, and a message, with every
+// map, slice and pointer reachable from it, is immutable once it is
+// sent: objects install request tuples by reference, ship their state in
+// acks as it is, and readers keep the acks they absorb. Aliasing a value
+// obtained from another party, Byzantine or not, is therefore safe, and
+// writing through one never is. Code that needs a changed value builds a
+// fresh one. The msgimmutable analyzer (`make lint`) enforces the rule.
+//
+// Copies remain in three places only: at the public API boundary (the
+// writer copies the caller's value, readers return a copy), for a base
+// object's per-reader tsr vector, which is written in place, and in
+// object Snapshot/Restore.
 package types
 
 import (
@@ -317,14 +325,15 @@ func (h History) Clone() History {
 	return out
 }
 
-// Suffix returns a deep copy of the entries with timestamp ≥ from: the
-// §5.1 optimization where objects ship only the portion of the history
-// above the reader's cached timestamp.
+// Suffix returns a new map holding the entries with timestamp ≥ from:
+// the §5.1 optimization where objects ship only the portion of the
+// history above the reader's cached timestamp. The entries are shared,
+// not copied; they are immutable once installed.
 func (h History) Suffix(from TS) History {
 	out := make(History)
 	for ts, e := range h {
 		if ts >= from {
-			out[ts] = e.Clone()
+			out[ts] = e
 		}
 	}
 	return out

@@ -63,21 +63,15 @@ func normalize(m Msg) Msg {
 	return cu
 }
 
-// TestConfigFrameClone: clones share no mutable backing arrays.
+// TestConfigFrameClone: ConfigUpdate.Clone shares no backing arrays,
+// so the membership layer can hand a redirect out and keep its own.
 func TestConfigFrameClone(t *testing.T) {
 	cu := ConfigUpdate{Shard: 0, Epoch: 1, Members: []int64{0, 5, 2}, Sig: []byte{1, 2, 3}}
-	cloned := Clone(cu).(ConfigUpdate)
+	cloned := cu.Clone()
 	cloned.Members[0] = 99
 	cloned.Sig[0] = 99
 	if cu.Members[0] == 99 || cu.Sig[0] == 99 {
 		t.Fatal("Clone aliased the update's slices")
-	}
-
-	ce := ConfigEpoch{Epoch: 2, Msg: RegOp{Reg: "k", Msg: BaselineWriteReq{TS: 1, Val: types.Value("x")}}}
-	cloned2 := Clone(ce).(ConfigEpoch)
-	cloned2.Msg.(RegOp).Msg.(BaselineWriteReq).Val[0] = 'y'
-	if ce.Msg.(RegOp).Msg.(BaselineWriteReq).Val[0] != 'x' {
-		t.Fatal("Clone aliased the wrapped value")
 	}
 }
 

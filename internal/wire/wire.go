@@ -10,6 +10,15 @@
 // with encoding/gob so the TCP transport and the size accounting in
 // EncodedSize work on all of them.
 //
+// A message, and every map, slice and pointer reachable from it, is
+// immutable once it is sent. The in-memory transports hand the sender's
+// value to every receiver, objects install request tuples into their
+// state by reference, and readers keep the acks they absorb, so nobody
+// copies on the data path and nobody may write through a message. Code
+// that needs a changed message builds a fresh one. The msgimmutable
+// analyzer (internal/analysis/msgimmutable, run by `make lint`) enforces
+// this.
+//
 // Adding a message type means updating four places, and the
 // wireexhaustive analyzer (internal/analysis/wireexhaustive, run by
 // `make lint`) flags any that are missed: declare the type with an
@@ -266,11 +275,6 @@ type RegState struct {
 	TSR     types.TSRVector
 }
 
-// Clone deep-copies the register state.
-func (rs RegState) Clone() RegState {
-	return RegState{Reg: rs.Reg, TS: rs.TS, History: rs.History.Clone(), TSR: rs.TSR.Clone()}
-}
-
 // Flow control (overload pushback) messages --------------------------------
 
 // Busy is the pushback frame of the flow-control layer: an overloaded
@@ -432,71 +436,4 @@ func EncodedSize(m Msg) int {
 		return 0
 	}
 	return len(data)
-}
-
-// Clone deep-copies a message so transports can hand independent copies
-// to receivers. Byzantine handlers receive clones and cannot mutate
-// honest state through shared slices or maps.
-func Clone(m Msg) Msg {
-	switch v := m.(type) {
-	case PWReq:
-		return PWReq{TS: v.TS, PW: v.PW.Clone(), W: v.W.Clone()}
-	case PWAck:
-		return PWAck{ObjectID: v.ObjectID, TS: v.TS, TSR: v.TSR.Clone()}
-	case WReq:
-		return WReq{TS: v.TS, PW: v.PW.Clone(), W: v.W.Clone()}
-	case WAck:
-		return v
-	case ReadReq:
-		if v.Repair != nil {
-			rep := v.Repair.Clone()
-			v.Repair = &rep
-		}
-		return v
-	case ReadAck:
-		return ReadAck{ObjectID: v.ObjectID, Round: v.Round, TSR: v.TSR, PW: v.PW.Clone(), W: v.W.Clone()}
-	case ReadAckHist:
-		return ReadAckHist{ObjectID: v.ObjectID, Round: v.Round, TSR: v.TSR, History: v.History.Clone()}
-	case BaselineWriteReq:
-		return BaselineWriteReq{TS: v.TS, Val: v.Val.Clone(), Sig: append([]byte(nil), v.Sig...)}
-	case BaselineWriteAck:
-		return v
-	case BaselineReadReq:
-		return v
-	case BaselineReadAck:
-		return BaselineReadAck{ObjectID: v.ObjectID, Attempt: v.Attempt, TS: v.TS, Val: v.Val.Clone(), Sig: append([]byte(nil), v.Sig...)}
-	case PairsReadAck:
-		return PairsReadAck{ObjectID: v.ObjectID, Attempt: v.Attempt, PW: v.PW.Clone(), W: v.W.Clone()}
-	case SubscribeReq:
-		return v
-	case PushState:
-		return PushState{ObjectID: v.ObjectID, Seq: v.Seq, TS: v.TS, Val: v.Val.Clone(), Echo: v.Echo}
-	case RegOp:
-		return RegOp{Reg: v.Reg, Op: v.Op, Msg: Clone(v.Msg)}
-	case Batch:
-		ops := make([]Msg, len(v.Ops))
-		for i, op := range v.Ops {
-			ops[i] = Clone(op)
-		}
-		return Batch{Ops: ops}
-	case Epoch:
-		return Epoch{Inc: v.Inc, Msg: Clone(v.Msg)}
-	case StateReq:
-		return v
-	case StateResp:
-		regs := make([]RegState, len(v.Regs))
-		for i, rs := range v.Regs {
-			regs[i] = rs.Clone()
-		}
-		return StateResp{ObjectID: v.ObjectID, Seq: v.Seq, Incarnation: v.Incarnation, Regs: regs}
-	case ConfigEpoch:
-		return ConfigEpoch{Epoch: v.Epoch, Msg: Clone(v.Msg)}
-	case ConfigUpdate:
-		return v.Clone()
-	case Busy:
-		return Busy{Msg: Clone(v.Msg)}
-	default:
-		// Unknown payloads only arise from test doubles; pass through.
-		return m
-	}
 }

@@ -117,35 +117,6 @@ func TestEncodedSizeGrowsWithHistory(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeepForAllTypes(t *testing.T) {
-	for _, m := range sampleMsgs() {
-		c := Clone(m)
-		if reflect.TypeOf(c) != reflect.TypeOf(m) {
-			t.Fatalf("Clone changed type: %T → %T", m, c)
-		}
-	}
-	// Spot-check aliasing on the mutable payloads.
-	orig := sampleMsgs()[0].(PWReq)
-	c := Clone(orig).(PWReq)
-	c.W.TSR[0][0] = 99
-	c.PW.Val[0] = 'z'
-	if orig.W.TSR[0][0] == 99 || orig.PW.Val[0] == 'z' {
-		t.Error("Clone(PWReq) must deep-copy")
-	}
-	rrOrig := sampleMsgs()[4].(ReadReq)
-	rc := Clone(rrOrig).(ReadReq)
-	rc.Repair.TSVal.Val[0] = 'z'
-	if rrOrig.Repair.TSVal.Val[0] == 'z' {
-		t.Error("Clone(ReadReq) must deep-copy the repair hint")
-	}
-	hOrig := sampleMsgs()[6].(ReadAckHist)
-	hc := Clone(hOrig).(ReadAckHist)
-	hc.History[7].W.TSVal.Val[0] = 'z'
-	if hOrig.History[7].W.TSVal.Val[0] == 'z' {
-		t.Error("Clone(ReadAckHist) must deep-copy the history")
-	}
-}
-
 func TestQuickBaselineRoundTrip(t *testing.T) {
 	f := func(ts int64, val []byte, sig []byte, id uint8) bool {
 		m := BaselineReadAck{

@@ -133,6 +133,47 @@ func TestByzantineObjectsDoNotCorruptReads(t *testing.T) {
 	}
 }
 
+// TestAPIBoundaryCopies: messages are shared, not copied, inside the
+// store, so the only copies on the data path are at the API boundary:
+// Write copies the caller's value before it is sent, and Read returns a
+// copy of what the protocol decided. Editing either slice afterwards
+// must not change what the next Read returns, whichever protocol ran
+// and whichever read path (one round or two) decided.
+func TestAPIBoundaryCopies(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts store.Options
+	}{
+		{"safe", store.Options{Semantics: store.Safe}},
+		{"regular-opt", store.Options{}},
+		{"regular-opt-fast", store.Options{FastRead: true, ByzPerShard: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := store.Open(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			ctx := testCtx(t)
+			val := types.Value("written")
+			if err := s.Write(ctx, "k", val); err != nil {
+				t.Fatal(err)
+			}
+			val[0] = 'X' // the caller reuses its buffer after Write returns
+			for i := 0; i < 3; i++ {
+				tv, err := s.Read(ctx, "k")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !tv.Val.Equal(types.Value("written")) {
+					t.Fatalf("read %d returned %q, want %q", i, tv.Val, "written")
+				}
+				tv.Val[0] = 'Y' // the caller edits what Read returned
+			}
+		})
+	}
+}
+
 // TestReadContextWhileAllSlotsBusy occupies the single reader slot of a
 // deployment with a read that cannot complete (a manual partition holds
 // the shard below quorum), then verifies that further reads respect
