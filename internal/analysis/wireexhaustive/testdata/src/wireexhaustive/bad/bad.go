@@ -5,14 +5,12 @@
 // itself still catches an unplumbed message.
 package bad
 
-import "encoding/gob"
-
 type Msg interface{ isMsg() }
 
 type Ping struct{ N int }
 type Pong struct{ S string }
 type Quux struct{ B bool }
-type FakeProbe struct{ X int } // want "has no tagFakeProbe constant" "not gob-registered"
+type FakeProbe struct{ X int } // want "has no tagFakeProbe constant"
 
 // Wrap is a trace envelope: every keyed literal must set Op.
 type Wrap struct {
@@ -33,12 +31,6 @@ const (
 	tagQuux // want "never used as a switch case"
 	tagWrap
 )
-
-func init() {
-	for _, m := range []interface{}{Ping{}, Pong{}, Quux{}, Wrap{}} {
-		gob.Register(m)
-	}
-}
 
 func Clone(m Msg) Msg {
 	switch v := m.(type) { // want "missing cases for: FakeProbe"
@@ -82,7 +74,7 @@ func Decode(tag byte) Msg {
 	case tagPong:
 		return Pong{}
 	case tagWrap:
-		return Wrap{} // empty literal: gob-style zero value, exempt from op-echo
+		return Wrap{} // empty literal: a zero value, exempt from op-echo
 	}
 	return nil
 }

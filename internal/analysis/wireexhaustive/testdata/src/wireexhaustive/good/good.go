@@ -3,8 +3,6 @@
 // analyzer must stay silent.
 package good
 
-import "encoding/gob"
-
 type Msg interface{ isMsg() }
 
 type Ping struct{ N int }
@@ -20,8 +18,8 @@ type Wrap struct {
 
 // Fetch mirrors the round-2 READ frame with its optional repair hint:
 // a message carrying a pointer payload is still one message, and the
-// pointer field changes nothing about the four-table contract — Clone
-// deep-copies the hint, the codec gets one tag, gob one registration.
+// pointer field changes nothing about the table contract — Clone
+// deep-copies the hint and the codec gets one tag.
 type Fetch struct {
 	Round byte
 	Hint  *Pong
@@ -38,12 +36,6 @@ const (
 	tagWrap
 	tagFetch
 )
-
-func init() {
-	for _, m := range []interface{}{Ping{}, Pong{}, Wrap{}, Fetch{}} {
-		gob.Register(m)
-	}
-}
 
 func Clone(m Msg) Msg {
 	switch v := m.(type) {

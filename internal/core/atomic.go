@@ -32,7 +32,7 @@ import (
 // where [7] needs R(t+b)+2t+b objects for fast reads — out of this
 // paper's scope.)
 type AtomicSWSRReader struct {
-	inner *RegularReader
+	inner *Reader
 }
 
 // NewAtomicSWSRReader returns the atomic single-reader client.

@@ -15,6 +15,12 @@
 // conflict with that object (Fig. 4 line 1), and the first read round
 // only completes on a conflict-free set of S−t responders.
 //
+// Writer runs both storages' WRITE. One read driver, Reader, runs both
+// storages' READ: NewSafeReader and NewRegularReader pick the evidence
+// it collects, the Fig. 4 bookkeeping (safeReadState) or the Fig. 6
+// one (regularReadState). Each READ builds its bookkeeping afresh in
+// the driver's frame, where it stays off the heap.
+//
 // Clients are written against transport.Conn and run unchanged over the
 // concurrent in-memory network, the deterministic simulator, and TCP.
 package core
@@ -24,7 +30,9 @@ import (
 	"time"
 
 	"repro/internal/quorum"
+	"repro/internal/transport"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // ErrBadConfig reports an invalid storage configuration.
@@ -76,19 +84,55 @@ func NewParams(cfg quorum.Config) (Params, error) {
 	return Params{Cfg: cfg}, nil
 }
 
-// objectIDs returns all base-object indices 0..S-1.
-func (p Params) objectIDs() []types.ObjectID {
-	out := make([]types.ObjectID, p.Cfg.S)
-	for i := range out {
-		out[i] = types.ObjectID(i)
-	}
-	return out
-}
-
 // validObject reports whether an acknowledgement's claimed object index
 // is within range; clients additionally require the claimed index to
 // match the transport-level sender, since channels are authenticated
 // point-to-point links in the model.
 func (p Params) validObject(id types.ObjectID) bool {
 	return int(id) >= 0 && int(id) < p.Cfg.S
+}
+
+// fromObject reports whether an acknowledgement claiming to come from
+// object id arrived over that object's authenticated link and names a
+// valid object.
+func (p Params) fromObject(from transport.NodeID, id types.ObjectID) bool {
+	return from.Kind == transport.KindObject && types.ObjectID(from.Index) == id && p.validObject(id)
+}
+
+// client is what the writer and the reader share: the configuration,
+// the connection, the tracer, and the record of the last operation.
+type client struct {
+	params Params
+	conn   transport.Conn
+	stats  OpStats
+	trace  Tracer
+}
+
+func newClient(cfg quorum.Config, conn transport.Conn) (client, error) {
+	p, err := NewParams(cfg)
+	if err != nil {
+		return client{}, err
+	}
+	return client{params: p, conn: conn, trace: nopTracer{}}, nil
+}
+
+// LastStats returns the complexity record of the last completed
+// operation.
+func (c *client) LastStats() OpStats { return c.stats }
+
+// SetTracer installs a tracer (nil restores the no-op).
+func (c *client) SetTracer(t Tracer) {
+	if t == nil {
+		t = nopTracer{}
+	}
+	c.trace = t
+}
+
+// broadcast sends msg to every base object 0..S−1 and returns the
+// number of messages sent.
+func (c *client) broadcast(msg wire.Msg) int {
+	for i := 0; i < c.params.Cfg.S; i++ {
+		c.conn.Send(transport.Object(types.ObjectID(i)), msg)
+	}
+	return c.params.Cfg.S
 }

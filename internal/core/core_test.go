@@ -95,7 +95,7 @@ func (c *cluster) writer() *core.Writer {
 	return w
 }
 
-func (c *cluster) safeReader(j int) *core.SafeReader {
+func (c *cluster) safeReader(j int) *core.Reader {
 	c.t.Helper()
 	conn, err := c.net.Register(transport.Reader(types.ReaderID(j)))
 	if err != nil {
@@ -108,7 +108,7 @@ func (c *cluster) safeReader(j int) *core.SafeReader {
 	return r
 }
 
-func (c *cluster) regularReader(j int, optimized bool) *core.RegularReader {
+func (c *cluster) regularReader(j int, optimized bool) *core.Reader {
 	c.t.Helper()
 	conn, err := c.net.Register(transport.Reader(types.ReaderID(j)))
 	if err != nil {

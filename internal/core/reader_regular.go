@@ -2,10 +2,7 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
-	"fmt"
-	"time"
 
 	"repro/internal/quorum"
 	"repro/internal/transport"
@@ -13,170 +10,15 @@ import (
 	"repro/internal/wire"
 )
 
-// RegularReader is the two-round reader of the regular storage (Fig. 6).
-// Base objects keep the full write history (Fig. 5) and ship it — or,
-// with the §5.1 optimization, only the suffix above the reader's cached
-// timestamp — in both read rounds. Candidates are validated per write
-// timestamp: safe(c) needs b+1 objects confirming the exact history
-// entry, invalid(c) discards a candidate once t+b+1 objects contradict
-// it.
-//
-// RegularReader is not safe for concurrent use.
-type RegularReader struct {
-	params Params
-	conn   transport.Conn
-	id     types.ReaderID
-
-	tsr       types.ReaderTS
-	optimized bool
-	fastPath  bool
-	cache     types.TSVal // last returned pair (⟨0,⊥⟩ initially), shared with the ack it came from
-	stats     OpStats
-	trace     Tracer
-}
-
-// NewRegularReader returns the regular reader client with identity id.
-// With optimized set, READ1/READ2 messages carry the reader's cached
-// timestamp and objects reply with history suffixes (§5.1); when the
-// candidate set is empty after a full second round the cached value is
-// returned.
-func NewRegularReader(cfg quorum.Config, conn transport.Conn, id types.ReaderID, optimized bool) (*RegularReader, error) {
-	p, err := NewParams(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if int(id) < 0 || int(id) >= cfg.R {
-		return nil, fmt.Errorf("%w: reader id %d out of range [0,%d)", ErrBadConfig, id, cfg.R)
-	}
-	return &RegularReader{params: p, conn: conn, id: id, optimized: optimized, cache: types.InitTSVal(), trace: nopTracer{}}, nil
-}
-
-// LastStats returns the complexity record of the last completed READ.
-func (r *RegularReader) LastStats() OpStats { return r.stats }
-
-// Cache returns the reader's cached pair (§5.1).
-func (r *RegularReader) Cache() types.TSVal { return r.cache.Clone() }
-
-// SetFastPath enables the contention-free single-round fast path and,
-// on the slow path, round-2 read repair. Off by default (the classic
-// Fig. 6 two-round protocol). See regularReadState.fastDecide for the
-// decision predicate and its safety argument.
-func (r *RegularReader) SetFastPath(on bool) { r.fastPath = on }
-
-// Read performs one READ and returns the selected timestamp-value pair.
-func (r *RegularReader) Read(ctx context.Context) (types.TSVal, error) {
-	start := time.Now()
-	st := OpStats{Kind: OpRead}
-	state := newRegularReadState(r.params.Cfg, r.id)
-	state.fast = r.fastPath
-
-	cacheTS := types.TS(0)
-	if r.optimized {
-		cacheTS = r.cache.TS
-	}
-	state.cacheTS = cacheTS
-	r.trace.OpStart(OpRead)
-
-	// Round 1.
-	r.tsr++
-	r.trace.RoundStart(OpRead, 1)
-	state.tsrFR = r.tsr
-	req1 := wire.ReadReq{Round: wire.Round1, Reader: r.id, TSR: state.tsrFR, CacheTS: cacheTS}
-	for _, id := range r.params.objectIDs() {
-		r.conn.Send(transport.Object(id), req1)
-		st.Sent++
-	}
-	st.Rounds++
-
-	for !state.round1Done() {
-		msg, err := r.conn.Recv(ctx)
-		if err != nil {
-			return types.TSVal{}, fmt.Errorf("core: regular READ round 1 (reader %d): %w", r.id, err)
-		}
-		if state.absorb(msg) {
-			st.Acks++
-			r.traceAck(msg)
-		}
-	}
-
-	// Fast path: with all S−t round-1 histories byte-identical and a
-	// complete, conflict-free top entry, decide now and skip round 2
-	// (predicate argued at fastDecide).
-	if r.fastPath {
-		if ret, ok := state.fastDecide(); ok {
-			traceExt(r.trace, OpRead, EvFastRead, "")
-			st.FastPath = true
-			if ret.TS > r.cache.TS {
-				r.cache = ret
-			} else if r.optimized {
-				ret = r.cache
-			}
-			st.Duration = time.Since(start)
-			r.stats = st
-			r.trace.Decided(OpRead, ret.TS)
-			return ret.Clone(), nil
-		}
-	}
-
-	// Round 2. On the slow path, piggyback the dominant b+1-vouched
-	// tuple (if round 1 revealed divergence) so lagging replicas
-	// converge: read repair.
-	r.tsr++
-	r.trace.RoundStart(OpRead, 2)
-	state.tsrSR = r.tsr
-	var repair *types.WTuple
-	if r.fastPath {
-		if hint, ok := state.repairHint(); ok {
-			repair = &hint
-			traceExt(r.trace, OpRead, EvRepair, fmt.Sprintf("ts=%d", hint.TSVal.TS))
-		}
-	}
-	req2 := wire.ReadReq{Round: wire.Round2, Reader: r.id, TSR: state.tsrSR, CacheTS: cacheTS, Repair: repair}
-	for _, id := range r.params.objectIDs() {
-		r.conn.Send(transport.Object(id), req2)
-		st.Sent++
-	}
-	st.Rounds++
-
-	for {
-		if ret, done := state.decide(r.optimized); done {
-			if ret.TS > r.cache.TS {
-				r.cache = ret
-			} else if r.optimized {
-				// An empty candidate set under §5.1 returns the cache.
-				ret = r.cache
-			}
-			st.Duration = time.Since(start)
-			r.stats = st
-			r.trace.Decided(OpRead, ret.TS)
-			return ret.Clone(), nil
-		}
-		msg, err := r.conn.Recv(ctx)
-		if err != nil {
-			return types.TSVal{}, fmt.Errorf("core: regular READ round 2 (reader %d): %w", r.id, err)
-		}
-		if state.absorb(msg) {
-			st.Acks++
-			r.traceAck(msg)
-		}
-	}
-}
-
-// traceAck reports an absorbed acknowledgement to the tracer.
-func (r *RegularReader) traceAck(msg transport.Message) {
-	if ack, ok := msg.Payload.(wire.ReadAckHist); ok {
-		r.trace.AckAccepted(OpRead, int(ack.Round), ack.ObjectID)
-	}
-}
-
-// regularReadState carries the per-READ bookkeeping of Fig. 6.
+// regularReadState carries the per-READ bookkeeping of Fig. 6. Base
+// objects keep the full write history (Fig. 5) and ship it — or, with
+// the §5.1 optimization, only the suffix at or above cacheTS — in both
+// read rounds. Candidates are validated per write timestamp: safe(c)
+// needs b+1 objects confirming the exact history entry, invalid(c)
+// discards a candidate once t+b+1 objects contradict it.
 type regularReadState struct {
-	cfg     quorum.Config
-	j       types.ReaderID
+	readBase
 	cacheTS types.TS
-
-	tsrFR types.ReaderTS
-	tsrSR types.ReaderTS
 
 	// lastTSR implements the Fig. 6 line 18/23 guard: accept an object's
 	// ack only with a strictly higher echoed control timestamp.
@@ -189,8 +31,7 @@ type regularReadState struct {
 	// non-nil w entries, keyed canonically.
 	candidates map[string]types.WTuple
 
-	respFirst objSet
-	resp2     objSet
+	resp2 objSet
 
 	// Fast-path bookkeeping (populated only with fast set): the
 	// canonical key of the first round-1 history, the history itself,
@@ -204,15 +45,13 @@ type regularReadState struct {
 
 func newRegularReadState(cfg quorum.Config, j types.ReaderID) *regularReadState {
 	return &regularReadState{
-		cfg:     cfg,
-		j:       j,
-		lastTSR: make(map[types.ObjectID]types.ReaderTS),
+		readBase: readBase{cfg: cfg, j: j, respFirst: make(objSet)},
+		lastTSR:  make(map[types.ObjectID]types.ReaderTS),
 		hist: map[wire.Round]map[types.ObjectID]types.History{
 			wire.Round1: make(map[types.ObjectID]types.History),
 			wire.Round2: make(map[types.ObjectID]types.History),
 		},
 		candidates:  make(map[string]types.WTuple),
-		respFirst:   make(objSet),
 		resp2:       make(objSet),
 		r1Unanimous: true,
 	}
@@ -250,19 +89,7 @@ func historyKey(h types.History) string {
 // well-formed acknowledgement of this READ.
 func (s *regularReadState) absorb(msg transport.Message) bool {
 	ack, ok := msg.Payload.(wire.ReadAckHist)
-	if !ok {
-		return false
-	}
-	if msg.From.Kind != transport.KindObject || types.ObjectID(msg.From.Index) != ack.ObjectID {
-		return false
-	}
-	if int(ack.ObjectID) < 0 || int(ack.ObjectID) >= s.cfg.S {
-		return false
-	}
-	switch {
-	case ack.Round == wire.Round1 && ack.TSR == s.tsrFR:
-	case ack.Round == wire.Round2 && s.tsrSR != 0 && ack.TSR == s.tsrSR:
-	default:
+	if !ok || !s.acceptHeader(msg.From, ack.ObjectID, ack.Round, ack.TSR) {
 		return false
 	}
 	if ack.TSR <= s.lastTSR[ack.ObjectID] {
@@ -462,15 +289,7 @@ func (s *regularReadState) buildConflictGraph(active []string) *conflictGraph {
 
 // round1Done evaluates the Fig. 6 line 11 condition.
 func (s *regularReadState) round1Done() bool {
-	if len(s.respFirst) < s.cfg.RoundQuorum() {
-		return false
-	}
-	responders := make([]types.ObjectID, 0, len(s.respFirst))
-	for id := range s.respFirst {
-		responders = append(responders, id)
-	}
-	g := s.buildConflictGraph(s.activeCandidates())
-	return g.hasConflictFreeSubset(responders, s.cfg.RoundQuorum())
+	return s.round1Quorum(func() *conflictGraph { return s.buildConflictGraph(s.activeCandidates()) })
 }
 
 // decide evaluates the Fig. 6 line 14 condition: some highest active

@@ -26,6 +26,9 @@ type Tracer interface {
 	// Decided fires just before the operation returns, with the
 	// operation's timestamp (the written ts, or the returned pair's).
 	Decided(kind OpKind, ts types.TS)
+	// Ext fires for the events of the fast-path, pipelining, and
+	// read-repair optimizations, outside the Fig. 2–6 structure.
+	Ext(kind OpKind, ev ExtEvent, detail string)
 }
 
 // ExtEvent labels a protocol event introduced by the fast-path and
@@ -57,21 +60,6 @@ func (e ExtEvent) String() string {
 	return "ext?"
 }
 
-// ExtTracer is an optional extension of Tracer: implementations that
-// also provide Ext receive the fast-path/pipelining/repair events.
-// Kept as a separate interface so existing Tracer implementations stay
-// source-compatible; clients discover it with a type assertion.
-type ExtTracer interface {
-	Ext(kind OpKind, ev ExtEvent, detail string)
-}
-
-// traceExt forwards an extended event when t implements ExtTracer.
-func traceExt(t Tracer, kind OpKind, ev ExtEvent, detail string) {
-	if x, ok := t.(ExtTracer); ok {
-		x.Ext(kind, ev, detail)
-	}
-}
-
 // nopTracer is the default.
 type nopTracer struct{}
 
@@ -79,30 +67,7 @@ func (nopTracer) OpStart(OpKind)                          {}
 func (nopTracer) RoundStart(OpKind, int)                  {}
 func (nopTracer) AckAccepted(OpKind, int, types.ObjectID) {}
 func (nopTracer) Decided(OpKind, types.TS)                {}
-
-// SetTracer installs a tracer on the writer (nil restores the no-op).
-func (w *Writer) SetTracer(t Tracer) {
-	if t == nil {
-		t = nopTracer{}
-	}
-	w.trace = t
-}
-
-// SetTracer installs a tracer on the safe reader.
-func (r *SafeReader) SetTracer(t Tracer) {
-	if t == nil {
-		t = nopTracer{}
-	}
-	r.trace = t
-}
-
-// SetTracer installs a tracer on the regular reader.
-func (r *RegularReader) SetTracer(t Tracer) {
-	if t == nil {
-		t = nopTracer{}
-	}
-	r.trace = t
-}
+func (nopTracer) Ext(OpKind, ExtEvent, string)            {}
 
 // TraceRecorder is a Tracer that accumulates events as strings, for
 // tests and debugging dumps. Safe for concurrent use.

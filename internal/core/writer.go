@@ -31,8 +31,7 @@ import (
 // Writer is not safe for concurrent use; the model's single writer
 // invokes one operation at a time.
 type Writer struct {
-	params Params
-	conn   transport.Conn
+	client
 
 	ts   types.TS
 	last types.WTuple // the complete tuple of the previous write ("last copy of w′")
@@ -42,25 +41,19 @@ type Writer struct {
 	// confirmed by S−t objects; 0 when no write-back is outstanding.
 	pipelined bool
 	pending   types.TS
-
-	stats OpStats
-	trace Tracer
 }
 
 // NewWriter returns the writer client for the given configuration.
 func NewWriter(cfg quorum.Config, conn transport.Conn) (*Writer, error) {
-	p, err := NewParams(cfg)
+	c, err := newClient(cfg, conn)
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{params: p, conn: conn, last: types.InitWTuple(), trace: nopTracer{}}, nil
+	return &Writer{client: c, last: types.InitWTuple()}, nil
 }
 
 // TS returns the timestamp of the last completed write.
 func (w *Writer) TS() types.TS { return w.ts }
-
-// LastStats returns the complexity record of the last completed WRITE.
-func (w *Writer) LastStats() OpStats { return w.stats }
 
 // SetPipelined toggles write-round pipelining. When on, Write issues
 // op N's write-back (W) broadcast without awaiting its acks: they are
@@ -94,26 +87,33 @@ func (w *Writer) Flush(ctx context.Context) error {
 	if w.pending == 0 {
 		return nil
 	}
-	cfg := w.params.Cfg
-	acked := make(map[types.ObjectID]bool, cfg.RoundQuorum())
-	for len(acked) < cfg.RoundQuorum() {
+	if err := w.awaitWAcks(ctx, w.pending, nil); err != nil {
+		return fmt.Errorf("core: WRITE ts=%d flush: %w", w.pending, err)
+	}
+	w.pending = 0
+	return nil
+}
+
+// awaitWAcks collects W_ACK⟨ts⟩ from S−t distinct objects. With st
+// set, each accepted ack is counted and traced as a round-2 ack.
+func (w *Writer) awaitWAcks(ctx context.Context, ts types.TS, st *OpStats) error {
+	quorum := w.params.Cfg.RoundQuorum()
+	acked := make(map[types.ObjectID]bool, quorum)
+	for len(acked) < quorum {
 		msg, err := w.conn.Recv(ctx)
 		if err != nil {
-			return fmt.Errorf("core: WRITE ts=%d flush: %w", w.pending, err)
+			return err
 		}
 		ack, ok := msg.Payload.(wire.WAck)
-		if !ok || ack.TS != w.pending {
-			continue
-		}
-		if msg.From.Kind != transport.KindObject || types.ObjectID(msg.From.Index) != ack.ObjectID {
-			continue
-		}
-		if !w.params.validObject(ack.ObjectID) || acked[ack.ObjectID] {
+		if !ok || ack.TS != ts || !w.params.fromObject(msg.From, ack.ObjectID) || acked[ack.ObjectID] {
 			continue
 		}
 		acked[ack.ObjectID] = true
+		if st != nil {
+			st.Acks++
+			w.trace.AckAccepted(OpWrite, 2, ack.ObjectID)
+		}
 	}
-	w.pending = 0
 	return nil
 }
 
@@ -135,11 +135,7 @@ func (w *Writer) Write(ctx context.Context, v types.Value) error {
 	w.ts++
 	w.trace.RoundStart(OpWrite, 1)
 	pw := types.TSVal{TS: w.ts, Val: v.Clone()}
-	req := wire.PWReq{TS: w.ts, PW: pw, W: w.last}
-	for _, id := range w.params.objectIDs() {
-		w.conn.Send(transport.Object(id), req)
-		st.Sent++
-	}
+	st.Sent += w.broadcast(wire.PWReq{TS: w.ts, PW: pw, W: w.last})
 	st.Rounds++
 
 	// Wait for PW_ACK⟨ts, tsr⟩ from exactly S−t distinct objects,
@@ -156,11 +152,8 @@ func (w *Writer) Write(ctx context.Context, v types.Value) error {
 		if !ok || ack.TS != w.ts {
 			continue // stale or foreign traffic
 		}
-		if msg.From.Kind != transport.KindObject || types.ObjectID(msg.From.Index) != ack.ObjectID {
+		if !w.params.fromObject(msg.From, ack.ObjectID) {
 			continue // claimed identity must match the authenticated link
-		}
-		if !w.params.validObject(ack.ObjectID) {
-			continue
 		}
 		if _, dup := current[ack.ObjectID]; dup {
 			continue
@@ -177,32 +170,10 @@ func (w *Writer) Write(ctx context.Context, v types.Value) error {
 	// Round W: w := ⟨pw, currenttsrarray⟩; send W⟨ts, pw, w⟩ to all.
 	w.trace.RoundStart(OpWrite, 2)
 	tuple := types.WTuple{TSVal: pw, TSR: current}
-	wreq := wire.WReq{TS: w.ts, PW: pw, W: tuple}
-	for _, id := range w.params.objectIDs() {
-		w.conn.Send(transport.Object(id), wreq)
-		st.Sent++
-	}
+	st.Sent += w.broadcast(wire.WReq{TS: w.ts, PW: pw, W: tuple})
 	st.Rounds++
-
-	acked := make(map[types.ObjectID]bool, cfg.RoundQuorum())
-	for len(acked) < cfg.RoundQuorum() {
-		msg, err := w.conn.Recv(ctx)
-		if err != nil {
-			return fmt.Errorf("core: WRITE ts=%d W round: %w", w.ts, err)
-		}
-		ack, ok := msg.Payload.(wire.WAck)
-		if !ok || ack.TS != w.ts {
-			continue
-		}
-		if msg.From.Kind != transport.KindObject || types.ObjectID(msg.From.Index) != ack.ObjectID {
-			continue
-		}
-		if !w.params.validObject(ack.ObjectID) || acked[ack.ObjectID] {
-			continue
-		}
-		st.Acks++
-		w.trace.AckAccepted(OpWrite, 2, ack.ObjectID)
-		acked[ack.ObjectID] = true
+	if err := w.awaitWAcks(ctx, w.ts, &st); err != nil {
+		return fmt.Errorf("core: WRITE ts=%d W round: %w", w.ts, err)
 	}
 
 	w.trace.Decided(OpWrite, w.ts)
@@ -238,11 +209,7 @@ func (w *Writer) writePipelined(ctx context.Context, v types.Value) error {
 	w.ts++
 	w.trace.RoundStart(OpWrite, 1)
 	pw := types.TSVal{TS: w.ts, Val: v.Clone()}
-	req := wire.PWReq{TS: w.ts, PW: pw, W: w.last}
-	for _, id := range w.params.objectIDs() {
-		w.conn.Send(transport.Object(id), req)
-		st.Sent++
-	}
+	st.Sent += w.broadcast(wire.PWReq{TS: w.ts, PW: pw, W: w.last})
 	st.Rounds++ // the only awaited round-trip of a pipelined WRITE
 
 	current := types.NewTSRMatrix()
@@ -258,19 +225,16 @@ func (w *Writer) writePipelined(ctx context.Context, v types.Value) error {
 		if err != nil {
 			return fmt.Errorf("core: WRITE ts=%d pipelined PW round: %w", w.ts, err)
 		}
-		if msg.From.Kind != transport.KindObject {
-			continue
-		}
 		switch ack := msg.Payload.(type) {
 		case wire.PWAck:
-			if ack.TS != w.ts || types.ObjectID(msg.From.Index) != ack.ObjectID || !w.params.validObject(ack.ObjectID) {
+			if ack.TS != w.ts || !w.params.fromObject(msg.From, ack.ObjectID) {
 				continue
 			}
 			// PW_ACK(N) doubles as the object's W_ACK(N−1): PW(N)
 			// carried tuple(N−1) and the object installed it first.
 			if w.pending != 0 && !confirmed[ack.ObjectID] {
 				confirmed[ack.ObjectID] = true
-				traceExt(w.trace, OpWrite, EvPipelinedAck, fmt.Sprintf("obj%d@pw", ack.ObjectID))
+				w.trace.Ext(OpWrite, EvPipelinedAck, fmt.Sprintf("obj%d@pw", ack.ObjectID))
 			}
 			if _, dup := current[ack.ObjectID]; dup || len(current) >= cfg.RoundQuorum() {
 				continue // snapshot the matrix at exactly S−t rows
@@ -279,15 +243,12 @@ func (w *Writer) writePipelined(ctx context.Context, v types.Value) error {
 			w.trace.AckAccepted(OpWrite, 1, ack.ObjectID)
 			current[ack.ObjectID] = ack.TSR
 		case wire.WAck:
-			if w.pending == 0 || ack.TS != w.pending || types.ObjectID(msg.From.Index) != ack.ObjectID {
-				continue
-			}
-			if !w.params.validObject(ack.ObjectID) || confirmed[ack.ObjectID] {
+			if w.pending == 0 || ack.TS != w.pending || !w.params.fromObject(msg.From, ack.ObjectID) || confirmed[ack.ObjectID] {
 				continue
 			}
 			st.Acks++
 			confirmed[ack.ObjectID] = true
-			traceExt(w.trace, OpWrite, EvPipelinedAck, fmt.Sprintf("obj%d@w", ack.ObjectID))
+			w.trace.Ext(OpWrite, EvPipelinedAck, fmt.Sprintf("obj%d@w", ack.ObjectID))
 		}
 	}
 
@@ -295,11 +256,7 @@ func (w *Writer) writePipelined(ctx context.Context, v types.Value) error {
 	// acks — the next Write's PW round (or Flush) collects them.
 	w.trace.RoundStart(OpWrite, 2)
 	tuple := types.WTuple{TSVal: pw, TSR: current}
-	wreq := wire.WReq{TS: w.ts, PW: pw, W: tuple}
-	for _, id := range w.params.objectIDs() {
-		w.conn.Send(transport.Object(id), wreq)
-		st.Sent++
-	}
+	st.Sent += w.broadcast(wire.WReq{TS: w.ts, PW: pw, W: tuple})
 	w.pending = w.ts
 
 	w.trace.Decided(OpWrite, w.ts)

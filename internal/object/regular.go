@@ -153,15 +153,6 @@ func (s *Regular) HistoryLen() int {
 	return len(s.history)
 }
 
-// HistoryBytes returns the encoded size of the retained history, the
-// storage-exhaustion metric of experiment E8.
-func (s *Regular) HistoryBytes() int {
-	s.mu.Lock()
-	h := s.history.Suffix(0)
-	s.mu.Unlock()
-	return wire.EncodedSize(wire.ReadAckHist{ObjectID: s.id, History: h})
-}
-
 // RegularSnapshot is a copy of a regular object's full state.
 type RegularSnapshot struct {
 	TS      types.TS

@@ -351,19 +351,19 @@ type regWriter struct {
 	trace *coreTracer // nil without telemetry
 }
 
+// regReader is one reader slot's client for one register. The slot's
+// borrower owns it for the duration of a read.
+type regReader struct {
+	r     *core.Reader
+	trace *coreTracer // nil without telemetry
+}
+
 // readerSlot is one reusable reader identity of a shard: physical conn
 // plus the per-register reader clients that have used it.
 type readerSlot struct {
 	id      types.ReaderID
 	mux     *mux
-	readers map[string]readerClient
-	traces  map[string]*coreTracer // per-register tracer adapters (nil without telemetry)
-}
-
-// readerClient is what core's safe and regular readers have in common.
-type readerClient interface {
-	Read(ctx context.Context) (types.TSVal, error)
-	LastStats() core.OpStats
+	readers map[string]*regReader
 }
 
 // Open builds and starts a store per opts.
@@ -553,7 +553,7 @@ func (s *Store) buildShard(index int) (*shard, error) {
 			nw.Close()
 			return nil, err
 		}
-		slot := &readerSlot{id: types.ReaderID(j), mux: newMux(rconn), readers: make(map[string]readerClient), traces: make(map[string]*coreTracer)}
+		slot := &readerSlot{id: types.ReaderID(j), mux: newMux(rconn), readers: make(map[string]*regReader)}
 		if sh.members != nil {
 			slot.mux.enableMembership(s.memAuth, sh.members.counters, sh.members.view.Clone())
 		}
@@ -858,23 +858,23 @@ func (s *Store) Read(ctx context.Context, key string) (types.TSVal, error) {
 	}
 	defer func() { sh.slots <- slot }()
 
-	r, err := sh.readerFor(slot, key, s.opts.Semantics)
+	rr, err := sh.readerFor(slot, key, s.opts.Semantics)
 	if err != nil {
 		return types.TSVal{}, err
 	}
 	var start time.Time
 	if s.tel != nil {
-		if tr := slot.traces[key]; tr != nil {
-			tr.op = s.tel.tracer.NewOp()
-			slot.mux.bindOp(key, tr.op)
+		if rr.trace != nil {
+			rr.trace.op = s.tel.tracer.NewOp()
+			slot.mux.bindOp(key, rr.trace.op)
 		}
 		start = s.tel.clock()
 	}
-	tv, err := r.Read(ctx)
+	tv, err := rr.r.Read(ctx)
 	if err != nil {
 		return types.TSVal{}, fmt.Errorf("store: read %q: %w", key, err)
 	}
-	st := r.LastStats()
+	st := rr.r.LastStats()
 	s.reads.Add(1)
 	s.readRounds.Add(int64(st.Rounds))
 	if st.FastPath {
@@ -934,13 +934,13 @@ func (sh *shard) writerFor(key string) (*regWriter, error) {
 // readerFor returns the slot's reader client for key, creating it on
 // first use. Reader state (control timestamps, the §5.1 cache) is per
 // (slot, register), matching the paper's per-reader identity j.
-func (sh *shard) readerFor(slot *readerSlot, key string, sem Semantics) (readerClient, error) {
-	if r := slot.readers[key]; r != nil {
-		return r, nil
+func (sh *shard) readerFor(slot *readerSlot, key string, sem Semantics) (*regReader, error) {
+	if rr := slot.readers[key]; rr != nil {
+		return rr, nil
 	}
 	conn := slot.mux.register(key)
 	var (
-		r   readerClient
+		r   *core.Reader
 		err error
 	)
 	switch sem {
@@ -955,25 +955,15 @@ func (sh *shard) readerFor(slot *readerSlot, key string, sem Semantics) (readerC
 		return nil, err
 	}
 	if sh.fastRead {
-		switch c := r.(type) {
-		case *core.SafeReader:
-			c.SetFastPath(true)
-		case *core.RegularReader:
-			c.SetFastPath(true)
-		}
+		r.SetFastPath(true)
 	}
+	rr := &regReader{r: r}
 	if sh.tel != nil && sh.tel.tracer != nil {
-		trace := &coreTracer{tr: sh.tel.tracer, key: key, shard: sh.index}
-		switch c := r.(type) {
-		case *core.SafeReader:
-			c.SetTracer(trace)
-		case *core.RegularReader:
-			c.SetTracer(trace)
-		}
-		slot.traces[key] = trace
+		rr.trace = &coreTracer{tr: sh.tel.tracer, key: key, shard: sh.index}
+		r.SetTracer(rr.trace)
 	}
-	slot.readers[key] = r
-	return r, nil
+	slot.readers[key] = rr
+	return rr, nil
 }
 
 // Close tears every shard down. Once it returns no base object serves

@@ -1,9 +1,9 @@
 // Package tcpnet runs the protocols over real TCP sockets: each base
 // object listens on its own address, clients keep one connection per
 // object and exchange length-prefixed compact-codec frames (see
-// internal/wire's EncodeCompact — reflection-free and far cheaper per
-// message than gob, which matters on the batched hot path where one
-// frame carries up to MaxBatch ops). It implements the same transport
+// internal/wire's EncodeCompact — reflection-free and cheap per
+// message, which matters on the batched hot path where one frame
+// carries up to MaxBatch ops). It implements the same transport
 // interfaces as memnet and simnet, so every client in this repository
 // runs over it unchanged — the cmd/robustread demo and the integration
 // tests use it for end-to-end realism.

@@ -1,14 +1,12 @@
 package wire
 
-// A hand-rolled compact binary codec for the protocol messages, as an
-// alternative to gob. gob is self-describing and pays a per-message
-// type-dictionary cost that dominates the small control messages these
-// protocols exchange; the compact codec writes a one-byte tag followed
-// by varint-packed fields. BenchmarkCodecComparison (binary_test.go)
-// quantifies the difference; integrators embedding the library in a
-// bandwidth-sensitive deployment can frame connections with
-// EncodeCompact/DecodeCompact instead of Encode/Decode — both sides of
-// every message type round-trip exactly.
+// The one codec of the protocol messages: a hand-rolled compact binary
+// format that writes a one-byte tag followed by varint-packed fields,
+// so the small control messages these protocols exchange stay a few
+// bytes long. A self-describing codec such as gob pays a per-message
+// type-dictionary cost that would dominate them. Every message type
+// round-trips exactly; BenchmarkCodecComparison (binary_test.go)
+// prices the codec per message size.
 //
 // The codec is built for the batched hot path:
 //

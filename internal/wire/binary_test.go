@@ -10,7 +10,7 @@ import (
 )
 
 // msgEqual deep-compares two messages using the domain equality of the
-// payload types (gob/compact round-trips may turn empty maps into nil).
+// payload types (compact round-trips may turn empty maps into nil).
 func msgEqual(a, b Msg) bool {
 	switch x := a.(type) {
 	case PWReq:
@@ -199,16 +199,6 @@ func TestCompactRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
-func TestCompactSmallerThanGob(t *testing.T) {
-	for _, m := range sampleMsgs() {
-		gobSize := EncodedSize(m)
-		compact := CompactSize(m)
-		if compact >= gobSize {
-			t.Errorf("%T: compact %dB not smaller than gob %dB", m, compact, gobSize)
-		}
-	}
-}
-
 func TestCompactBottomVsEmptyValue(t *testing.T) {
 	// ⊥ (nil) and an empty value are semantically distinct and must
 	// survive the round trip distinctly.
@@ -303,19 +293,6 @@ func BenchmarkCodecComparison(b *testing.B) {
 		name string
 		msg  Msg
 	}{{"small/ReadReq", small}, {"large/ReadAckHist", big}} {
-		b.Run("gob/"+tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				data, err := Encode(tc.msg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := Decode(data); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(EncodedSize(tc.msg)), "bytes/msg")
-		})
 		b.Run("compact/"+tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

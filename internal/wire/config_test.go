@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -17,26 +18,22 @@ func configFixtures() []Msg {
 }
 
 // TestConfigFramesRoundTripBothCodecs: the membership frames survive
-// gob and the compact codec byte-for-byte.
+// the compact codec, both its allocating and its appending encoder,
+// byte-for-byte.
 func TestConfigFramesRoundTripBothCodecs(t *testing.T) {
 	for _, m := range configFixtures() {
-		gobBytes, err := Encode(m)
-		if err != nil {
-			t.Fatalf("gob encode %T: %v", m, err)
-		}
-		back, err := Decode(gobBytes)
-		if err != nil {
-			t.Fatalf("gob decode %T: %v", m, err)
-		}
-		if !reflect.DeepEqual(normalize(m), normalize(back)) {
-			t.Fatalf("gob round trip of %#v yielded %#v", m, back)
-		}
-
 		compact, err := EncodeCompact(m)
 		if err != nil {
 			t.Fatalf("compact encode %T: %v", m, err)
 		}
-		back, err = DecodeCompact(compact)
+		appended, err := AppendCompact([]byte{0xAB}, m)
+		if err != nil {
+			t.Fatalf("compact append %T: %v", m, err)
+		}
+		if !bytes.Equal(appended[1:], compact) {
+			t.Fatalf("%T: AppendCompact wrote % x, EncodeCompact % x", m, appended[1:], compact)
+		}
+		back, err := DecodeCompact(compact)
 		if err != nil {
 			t.Fatalf("compact decode %T: %v", m, err)
 		}

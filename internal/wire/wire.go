@@ -6,9 +6,9 @@
 //
 // The same message set serves the safe protocol, the regular protocol
 // (history-carrying acks), the baselines, and the server-centric
-// extension. Messages are plain data; every payload type is registered
-// with encoding/gob so the TCP transport and the size accounting in
-// EncodedSize work on all of them.
+// extension. Messages are plain data; the compact binary codec
+// (binary.go) encodes every payload type, for the TCP transport and for
+// the size accounting in CompactSize.
 //
 // A message, and every map, slice and pointer reachable from it, is
 // immutable once it is sent. The in-memory transports hand the sender's
@@ -19,19 +19,14 @@
 // analyzer (internal/analysis/msgimmutable, run by `make lint`) enforces
 // this.
 //
-// Adding a message type means updating four places, and the
+// Adding a message type means updating three places, and the
 // wireexhaustive analyzer (internal/analysis/wireexhaustive, run by
 // `make lint`) flags any that are missed: declare the type with an
 // isMsg method, add a tag<Type> constant and codec arms in binary.go,
-// add the type to every type switch over Msg, and register it in the
-// gob.Register block below.
+// and add the type to every type switch over Msg.
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-
 	"repro/internal/types"
 )
 
@@ -375,65 +370,3 @@ func (StateResp) isMsg()        {}
 func (ConfigEpoch) isMsg()      {}
 func (ConfigUpdate) isMsg()     {}
 func (Busy) isMsg()             {}
-
-// registerAll makes every payload type known to gob, once, at package
-// load. gob.Register is idempotent for identical concrete types, and the
-// set of messages is closed, so doing this in an init-style var block is
-// safe and keeps callers free of registration boilerplate.
-var _ = func() struct{} {
-	for _, m := range []interface{}{
-		PWReq{}, PWAck{}, WReq{}, WAck{},
-		ReadReq{}, ReadAck{}, ReadAckHist{},
-		BaselineWriteReq{}, BaselineWriteAck{}, BaselineReadReq{}, BaselineReadAck{}, PairsReadAck{},
-		SubscribeReq{}, PushState{},
-		RegOp{}, Batch{},
-		Epoch{}, StateReq{}, StateResp{},
-		ConfigEpoch{}, ConfigUpdate{},
-		Busy{},
-	} {
-		gob.Register(m)
-	}
-	return struct{}{}
-}()
-
-// Encode serializes a message with gob (used by the TCP transport and by
-// size accounting).
-func Encode(m Msg) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	wrapped := envelope{Payload: m}
-	if err := enc.Encode(&wrapped); err != nil {
-		return nil, fmt.Errorf("wire: encode %T: %w", m, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode deserializes a message previously produced by Encode.
-func Decode(data []byte) (Msg, error) {
-	var wrapped envelope
-	dec := gob.NewDecoder(bytes.NewReader(data))
-	if err := dec.Decode(&wrapped); err != nil {
-		return nil, fmt.Errorf("wire: decode: %w", err)
-	}
-	m, ok := wrapped.Payload.(Msg)
-	if !ok {
-		return nil, fmt.Errorf("wire: decoded %T is not a protocol message", wrapped.Payload)
-	}
-	return m, nil
-}
-
-// envelope lets gob carry the interface value with its concrete type.
-type envelope struct {
-	Payload interface{}
-}
-
-// EncodedSize returns the gob-encoded size of a message in bytes; the E7
-// and E8 experiments use it to account message volume. It returns 0 for
-// messages that fail to encode (never the case for well-formed payloads).
-func EncodedSize(m Msg) int {
-	data, err := Encode(m)
-	if err != nil {
-		return 0
-	}
-	return len(data)
-}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -53,11 +54,11 @@ func sampleMsgs() []Msg {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, m := range sampleMsgs() {
-		data, err := Encode(m)
+		data, err := EncodeCompact(m)
 		if err != nil {
 			t.Fatalf("encode %T: %v", m, err)
 		}
-		back, err := Decode(data)
+		back, err := DecodeCompact(data)
 		if err != nil {
 			t.Fatalf("decode %T: %v", m, err)
 		}
@@ -69,11 +70,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestRoundTripPreservesPayloads(t *testing.T) {
 	orig := sampleMsgs()[5].(ReadAck)
-	data, err := Encode(orig)
+	data, err := EncodeCompact(orig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Decode(data)
+	back, err := DecodeCompact(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,18 +88,18 @@ func TestRoundTripPreservesPayloads(t *testing.T) {
 }
 
 func TestDecodeGarbage(t *testing.T) {
-	if _, err := Decode([]byte("not gob")); err == nil {
+	if _, err := DecodeCompact([]byte("not a frame")); err == nil {
 		t.Error("garbage must not decode")
 	}
-	if _, err := Decode(nil); err == nil {
+	if _, err := DecodeCompact(nil); err == nil {
 		t.Error("empty input must not decode")
 	}
 }
 
 func TestEncodedSizePositive(t *testing.T) {
 	for _, m := range sampleMsgs() {
-		if EncodedSize(m) <= 0 {
-			t.Errorf("EncodedSize(%T) must be positive", m)
+		if n := CompactSize(m); n <= 0 || n == math.MaxInt {
+			t.Errorf("CompactSize(%T) = %d, want a positive size", m, n)
 		}
 	}
 }
@@ -110,8 +111,8 @@ func TestEncodedSizeGrowsWithHistory(t *testing.T) {
 		w := types.WTuple{TSVal: types.TSVal{TS: ts, Val: types.Value("12345678")}, TSR: types.NewTSRMatrix()}
 		big[ts] = types.HistEntry{PW: w.TSVal, W: &w}
 	}
-	a := EncodedSize(ReadAckHist{History: small})
-	b := EncodedSize(ReadAckHist{History: big})
+	a := CompactSize(ReadAckHist{History: small})
+	b := CompactSize(ReadAckHist{History: big})
 	if b <= a {
 		t.Errorf("50-entry history (%dB) must encode larger than initial (%dB)", b, a)
 	}
@@ -125,11 +126,11 @@ func TestQuickBaselineRoundTrip(t *testing.T) {
 			Val:      append(types.Value(nil), val...),
 			Sig:      append([]byte(nil), sig...),
 		}
-		data, err := Encode(m)
+		data, err := EncodeCompact(m)
 		if err != nil {
 			return false
 		}
-		back, err := Decode(data)
+		back, err := DecodeCompact(data)
 		if err != nil {
 			return false
 		}
@@ -153,11 +154,11 @@ func TestQuickReadReqRoundTrip(t *testing.T) {
 			TSR:     types.ReaderTS(rng.Int63n(1 << 40)),
 			CacheTS: types.TS(rng.Int63n(1 << 40)),
 		}
-		data, err := Encode(m)
+		data, err := EncodeCompact(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := Decode(data)
+		back, err := DecodeCompact(data)
 		if err != nil {
 			t.Fatal(err)
 		}
